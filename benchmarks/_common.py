@@ -45,10 +45,15 @@ def make_context(experiment_id: str, *, verbose: bool = True) -> ExperimentConte
 
 
 def run_experiment(benchmark, experiment_id: str) -> dict:
-    """Run a registered experiment once under pytest-benchmark timing."""
+    """Run a registered experiment once under pytest-benchmark timing.
+
+    Its wall-clock asserts are enforced here, as ``ppdm bench run`` does.
+    """
     spec = REGISTRY.get(experiment_id)
     ctx = make_context(experiment_id)
-    return once(benchmark, lambda: spec.fn(ctx))
+    metrics = once(benchmark, lambda: spec.fn(ctx))
+    ctx.check_timing()
+    return metrics
 
 
 def once(benchmark, fn):

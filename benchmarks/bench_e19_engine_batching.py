@@ -184,7 +184,9 @@ def run_e19_byclass(ctx):
 
     # The engine must at least halve the ByClass fit.
     floor = 2.0 * _speedup_floor_scale()
-    assert speedup >= floor, f"expected >= {floor:.2f}x, got {speedup:.2f}x"
+    ctx.timing_assert(
+        speedup >= floor, f"expected >= {floor:.2f}x, got {speedup:.2f}x"
+    )
     # One kernel per attribute instead of one per attribute x class.
     assert metrics["kernel_misses"] == N_ATTRIBUTES
     assert metrics["kernel_hits"] == N_ATTRIBUTES * (N_CLASSES - 1)
@@ -218,7 +220,9 @@ def run_e19_local(ctx):
     # attribute no matter how many nodes re-reconstruct.
     assert metrics["kernel_misses"] == N_ATTRIBUTES
     floor = 1.5 * _speedup_floor_scale()
-    assert speedup >= floor, f"expected >= {floor:.2f}x, got {speedup:.2f}x"
+    ctx.timing_assert(
+        speedup >= floor, f"expected >= {floor:.2f}x, got {speedup:.2f}x"
+    )
     return metrics
 
 

@@ -216,7 +216,9 @@ def run_e20(ctx):
     )
 
     floor = 2.0 * _throughput_floor_scale()
-    assert speedup >= floor, f"expected >= {floor:.2f}x, got {speedup:.2f}x"
+    ctx.timing_assert(
+        speedup >= floor, f"expected >= {floor:.2f}x, got {speedup:.2f}x"
+    )
     # One kernel per attribute, shared across every shard count's service
     # (the benchmark builds fresh caches per service, so misses are per run).
     assert kernel_misses == N_ATTRIBUTES

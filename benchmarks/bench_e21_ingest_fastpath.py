@@ -230,7 +230,9 @@ def run_e21(ctx):
     )
 
     floor = 3.0 * _throughput_floor_scale()
-    assert speedup >= floor, f"expected >= {floor:.2f}x, got {speedup:.2f}x"
+    ctx.timing_assert(
+        speedup >= floor, f"expected >= {floor:.2f}x, got {speedup:.2f}x"
+    )
 
     return {
         "bit_identical": True,

@@ -260,7 +260,9 @@ def run_e23(ctx):
     )
 
     floor = 2.0 * _throughput_floor_scale()
-    assert speedup >= floor, f"expected >= {floor:.2f}x, got {speedup:.2f}x"
+    ctx.timing_assert(
+        speedup >= floor, f"expected >= {floor:.2f}x, got {speedup:.2f}x"
+    )
 
     return {
         "bit_identical": True,

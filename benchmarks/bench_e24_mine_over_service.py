@@ -118,7 +118,11 @@ def run_e24(ctx):
         assert result.n_baskets == n
         # mine-after-ingest latency is O(2^n_items), independent of n —
         # it must stay far below re-mining the full basket matrix
-        assert result.mine_seconds < max(offline_seconds * 5, 2.0) / scale
+        ctx.timing_assert(
+            result.mine_seconds < max(offline_seconds * 5, 2.0) / scale,
+            f"mine-after-ingest took {result.mine_seconds:.3f}s at "
+            f"{n_shards} shard(s)",
+        )
         rows.append(
             (
                 str(n_shards),

@@ -248,9 +248,10 @@ def run_e25(ctx):
     )
 
     floor = 0.3 * _throughput_floor_scale()
-    assert ratio >= floor, (
+    ctx.timing_assert(
+        ratio >= floor,
         f"chaos-leg throughput {ratio:.2f}x of fault-free is below the "
-        f"{floor:.2f}x floor"
+        f"{floor:.2f}x floor",
     )
 
     return {

@@ -254,9 +254,10 @@ def run_e26(ctx):
     float_rate = n_records / seconds["float64", "identity", 4]
     quant_rate = n_records / seconds["quantized", "identity", 4]
     floor = 0.6 * _throughput_floor_scale()
-    assert quant_rate >= floor * float_rate, (
+    ctx.timing_assert(
+        quant_rate >= floor * float_rate,
         f"quantized ingest at {quant_rate / float_rate:.2f}x of the float "
-        f"rate; floor is {floor:.2f}x"
+        f"rate; floor is {floor:.2f}x",
     )
 
     return {

@@ -6,6 +6,10 @@ into ``BENCH_<id>.json`` artifacts (:mod:`repro.bench.artifacts`):
 * each experiment body receives an :class:`ExperimentContext` carrying
   its seed and scale and collecting params + ASCII tables,
 * wall clock and peak RSS are captured around the body,
+* wall-clock asserts (speedup floors, latency ceilings) are declared
+  through :meth:`ExperimentContext.timing_assert` and kept apart from
+  the deterministic metrics: the runner judges them after the body
+  returns, so a run that misses a floor fails but keeps its metrics,
 * ``jobs > 1`` fans independent experiments out over a process pool —
   results are returned in id order and, because every experiment's seed
   is derived from ``(base seed, experiment id)`` alone, are
@@ -70,6 +74,9 @@ class ExperimentContext:
         (e.g. a measured speedup); merged into the artifact's ``timing``
         section, which the comparator treats with slack rather than the
         exact-match rule it applies to ``metrics``.
+    timing_failures:
+        Messages of the wall-clock asserts declared via
+        :meth:`timing_assert` that did not hold.
     """
 
     def __init__(
@@ -87,6 +94,7 @@ class ExperimentContext:
         self.params: dict = {}
         self.tables: dict = {}
         self.timings: dict = {}
+        self.timing_failures: list = []
 
     def scaled(self, n: int) -> int:
         """Apply the ambient benchmark scale to a base dataset size."""
@@ -106,6 +114,24 @@ class ExperimentContext:
     def record_timing(self, **timings) -> None:
         """Attach volatile measurements (never compared exactly)."""
         self.timings.update(check_metrics(timings, label="timings"))
+
+    def timing_assert(self, ok: bool, message: str) -> None:
+        """Declare a wall-clock assert (a speedup floor, a latency ceiling).
+
+        Unlike a plain ``assert`` it does not stop the body: the outcome
+        depends on the host's load, not on the experiment's seed, so it
+        is recorded and judged by :meth:`check_timing` once the
+        deterministic metrics are complete.
+        """
+        if not ok:
+            self.timing_failures.append(message)
+
+    def check_timing(self) -> None:
+        """Raise ``AssertionError`` naming every failed :meth:`timing_assert`."""
+        if self.timing_failures:
+            raise AssertionError(
+                "wall-clock assert failed: " + "; ".join(self.timing_failures)
+            )
 
     def report(self, text: str, *, name: str = None) -> None:
         """Render one ASCII table: collect, optionally print and persist.
@@ -138,7 +164,8 @@ def _execute(spec, *, seed, results_dir, verbose) -> BenchArtifact:
     A failing body (assertion or error) yields a ``status="failed"``
     artifact carrying the traceback tail, so one broken experiment
     cannot take down a whole sweep; the CLI turns any failure into a
-    nonzero exit.
+    nonzero exit.  A failed wall-clock assert fails the run too, but the
+    artifact still carries the body's complete metrics.
     """
     from repro.experiments.config import bench_scale
 
@@ -149,6 +176,7 @@ def _execute(spec, *, seed, results_dir, verbose) -> BenchArtifact:
     start = time.perf_counter()
     try:
         metrics = check_metrics(spec.fn(ctx) or {})
+        ctx.check_timing()
     except Exception:
         status = "failed"
         error = traceback.format_exc(limit=8)

@@ -48,13 +48,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.partition import Partition
+from repro.core.partition import GridStack, Partition
 from repro.core.randomizers import AdditiveRandomizer
 from repro.exceptions import ValidationError
 from repro.utils.validation import check_1d_array, check_label_column
 
 #: the column dtypes the quantized wire path ships bin indices in
 _QUANTIZED_DTYPES = (np.dtype("<i1"), np.dtype("<i2"))
+
+
+# the largest batch (in values) located as one stacked block: stacking
+# copies the batch, and past a few tens of thousands of values that copy
+# and its temporaries fall out of cache and cost more than the per-column
+# numpy calls they save (measured crossover: 8k-16k values per column x 4)
+_STACK_VALUES = 1 << 15
 
 
 def _quantized_column(values):
@@ -150,7 +157,7 @@ class ColumnLayout:
     """
 
     __slots__ = (
-        "_partitions", "_names", "_offsets", "_index",
+        "_partitions", "_names", "_offsets", "_index", "_grids",
         "base_bins", "n_classes", "total_bins",
     )
 
@@ -169,6 +176,7 @@ class ColumnLayout:
         for name, partition in self._partitions.items():
             self._offsets[name] = total
             total += partition.n_intervals
+        self._grids = GridStack(self._partitions.values())
         self.base_bins = total
         self.n_classes = int(n_classes)
         self.total_bins = total * (self.n_classes + 1)
@@ -258,22 +266,27 @@ class ColumnLayout:
         """Locate a ``{attribute: values}`` batch into fused flat indices.
 
         The pure, lock-free half of ingestion: values are validated,
-        bucketed on their attribute's grid, and offset into the flat bin
-        space.  Quantized columns (int8/int16 ndarrays of pre-located
-        bin indices, the wire v5 payload) skip the ``locate`` entirely —
-        each index is range-checked against the attribute's grid and
-        offset directly, so compressed clients cost the server no
-        ``searchsorted``.  With ``classes`` (one integer label per
-        record, shared by every column of the batch) each fused index
-        additionally lands in its record's class block, so labeled
-        batches bin per class in the same single pass.  The returned
-        :class:`PreparedBatch` can be handed to any shard built on this
-        layout.
+        bucketed on their attribute's grid (:meth:`Partition.locate
+        <repro.core.partition.Partition.locate>`, arithmetic on the
+        uniform grids a service builds), and offset into the flat bin
+        space.  Every column's indices are written straight into one
+        preallocated ``intp`` buffer, so a batch costs no per-column
+        temporaries and no concatenation; equal-length float columns
+        are located together as one stacked block.  Quantized columns
+        (int8/int16 ndarrays of pre-located bin indices, the wire v5
+        payload) skip the ``locate`` entirely — each index is
+        range-checked against the attribute's grid and offset directly,
+        so compressed clients cost the server no binning at all.  With
+        ``classes`` (one integer label per record, shared by every
+        column of the batch) each fused index additionally lands in its
+        record's class block, so labeled batches bin per class in the
+        same single pass.  The returned :class:`PreparedBatch` can be
+        handed to any shard built on this layout.
         """
         if not isinstance(batch, dict):
             raise ValidationError("batch must map attribute -> values")
         blocks = None if classes is None else self.check_classes(classes)
-        located = []
+        columns = []
         seen = np.zeros(len(self._names), dtype=np.int64)
         total = 0
         for name, values in batch.items():
@@ -285,7 +298,10 @@ class ColumnLayout:
                 )
             indices = _quantized_column(values)
             if indices is None:
-                arr = check_1d_array(values, f"batch[{name!r}]", allow_empty=True)
+                # finiteness is checked once for the whole batch below
+                arr = check_1d_array(
+                    values, f"batch[{name!r}]", allow_empty=True, finite=False
+                )
             elif indices.ndim != 1:
                 raise ValidationError(
                     f"batch[{name!r}] must be 1-dimensional, got shape "
@@ -301,29 +317,64 @@ class ColumnLayout:
                 )
             if arr.size == 0:
                 continue
-            if indices is None:
-                fused = partition.locate(arr) + self._offsets[name]
-            else:
+            if indices is not None:
                 low, high = int(indices.min()), int(indices.max())
                 if low < 0 or high >= partition.n_intervals:
                     raise ValidationError(
                         f"batch[{name!r}] quantized bin indices must lie in "
                         f"[0, {partition.n_intervals}), got [{low}, {high}]"
                     )
-                fused = indices.astype(np.intp) + self._offsets[name]
-            if blocks is not None:
-                fused = fused + blocks
-            located.append(fused)
+            columns.append((name, partition, arr, indices is not None))
             seen[self._index[name]] = arr.size
             total += arr.size
-        if not located:
-            flat = np.empty(0, dtype=np.intp)
-        elif len(located) == 1:
-            # single-attribute batches skip the concatenation entirely
-            flat = located[0]
-        else:
-            flat = np.concatenate(located)
+        flat = np.empty(total, dtype=np.intp)
+        if self._locate_stacked(columns, flat, blocks):
+            return PreparedBatch(self, flat, seen, total)
+        start = 0
+        for name, partition, arr, quantized in columns:
+            fused = flat[start:start + arr.size]
+            if quantized:
+                fused[...] = arr
+            else:
+                check_1d_array(arr, f"batch[{name!r}]", allow_empty=True)
+                partition.locate(arr, out=fused)
+            fused += self._offsets[name]
+            if blocks is not None:
+                fused += blocks
+            start += arr.size
         return PreparedBatch(self, flat, seen, total)
+
+    def _locate_stacked(self, columns, flat, blocks) -> bool:
+        """Fill ``flat`` in one stacked pass, if the batch allows it.
+
+        Two or more equal-length, finite float columns on arithmetic
+        grids, at most ``_STACK_VALUES`` values in all, locate as one 2-D
+        block through :class:`GridStack <repro.core.partition.GridStack>`:
+        a fixed handful of numpy calls per batch instead of a handful per
+        column, which is what short batches on contended threads pay
+        for.  Returns ``False``, with ``flat`` untouched, for any other
+        batch; the per-column path then locates it and names a
+        non-finite column.
+        """
+        if (
+            len(columns) < 2
+            or flat.size > _STACK_VALUES
+            or any(quantized for *_, quantized in columns)
+        ):
+            return False
+        rows = [self._index[name] for name, *_ in columns]
+        if len({arr.size for _, _, arr, _ in columns}) != 1 or not (
+            self._grids.arithmetic[rows].all()
+        ):
+            return False
+        values = np.stack([arr for _, _, arr, _ in columns])
+        if not np.isfinite(values).all():
+            return False
+        block = flat.reshape(len(columns), -1)
+        self._grids.locate(rows, values, block)
+        if blocks is not None:
+            block += blocks
+        return True
 
     def quantize(self, batch) -> dict:
         """Locate a value batch into narrow per-attribute bin-index columns.

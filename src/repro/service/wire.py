@@ -123,10 +123,10 @@ the fused bincount needs platform integers::
 
 Quantized columns carry *decisions*, not measurements: each index must
 lie in ``[0, n_intervals)`` of its attribute's noise-expanded grid, and
-the server adds shard offsets directly — no ``searchsorted`` on the hot
-path.  Because the client and server locate on the same grid, estimates
-from a quantized stream are bit-identical to the float64 stream of the
-same disclosures.  v1-v4 frames are byte-identical to previous
+the server adds shard offsets directly — no binning on the hot path,
+not even ``Partition.locate``'s arithmetic one.  Because the client
+and server locate on the same grid, estimates from a quantized stream
+are bit-identical to the float64 stream of the same disclosures.  v1-v4 frames are byte-identical to previous
 releases and still accepted unchanged.
 
 Per-frame *codecs* ride HTTP ``Content-Encoding``, orthogonal to the

@@ -13,15 +13,19 @@ from repro.exceptions import ValidationError
 
 
 def check_1d_array(
-    values, name: str = "values", *, allow_empty: bool = False
+    values, name: str = "values", *, allow_empty: bool = False, finite: bool = True
 ) -> np.ndarray:
-    """Coerce ``values`` to a 1-D float ndarray, rejecting NaN and infinities."""
+    """Coerce ``values`` to a 1-D float ndarray, rejecting NaN and infinities.
+
+    ``finite=False`` skips the NaN/infinity check, for callers that check
+    several columns at once afterwards.
+    """
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise ValidationError(f"{name} must be 1-dimensional, got shape {arr.shape}")
     if not allow_empty and arr.size == 0:
         raise ValidationError(f"{name} must not be empty")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if finite and arr.size and not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} contains NaN or infinite entries")
     return arr
 

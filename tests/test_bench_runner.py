@@ -82,6 +82,16 @@ class TestContext:
             ctx.record(n=np.int64(6000))
         assert ctx.params == {}
 
+    def test_timing_assert_records_without_stopping(self):
+        ctx = ExperimentContext("e1", 7)
+        ctx.timing_assert(True, "never shown")
+        ctx.check_timing()
+        ctx.timing_assert(False, "too slow")
+        ctx.timing_assert(False, "far too slow")
+        assert ctx.timing_failures == ["too slow", "far too slow"]
+        with pytest.raises(AssertionError, match="too slow; far too slow"):
+            ctx.check_timing()
+
     def test_scaled_honours_override(self):
         ctx = ExperimentContext("e1", 7)
         with scale_override(3):
@@ -186,6 +196,33 @@ class TestRunner:
         doc = json.loads((tmp_path / "a" / f"BENCH_{exp_id}.json").read_text())
         assert doc["status"] == "failed"
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_timing_assert_fails_run_but_keeps_metrics(
+        self, tmp_path, jobs
+    ):
+        ids = [f"zz_slow{k}_{uuid.uuid4().hex[:8]}" for k in range(2)]
+        bench_dir = tmp_path / "bench"
+        bench_dir.mkdir()
+        for k, exp_id in enumerate(ids):
+            (bench_dir / f"bench_slow{k}.py").write_text(
+                "from repro.bench import experiment\n"
+                f"@experiment({exp_id!r}, seed=3)\n"
+                "def run(ctx):\n"
+                "    ctx.timing_assert(False, 'speedup below floor')\n"
+                "    return {'seed': ctx.seed}\n"
+            )
+        artifacts = run_experiments(
+            ids=ids,
+            jobs=jobs,
+            artifacts_dir=tmp_path / "a",
+            benchmarks_dir=bench_dir,
+        )
+        for artifact in artifacts:
+            assert artifact.status == "failed"
+            assert "wall-clock assert failed" in artifact.error
+            assert "speedup below floor" in artifact.error
+            assert artifact.metrics == {"seed": 3}
+
     def test_invalid_jobs_rejected(self, toy_bench, tmp_path):
         bench_dir, _ids = toy_bench
         with pytest.raises(BenchmarkError, match="jobs must be >= 1"):
@@ -213,13 +250,23 @@ class TestRunner:
 
 
 class TestSmokeParity:
-    """Acceptance: the real smoke suite at ``--jobs 1`` vs ``--jobs 2``."""
+    """Acceptance: the real smoke suite at ``--jobs 1`` vs ``--jobs 2``.
 
-    def test_smoke_experiments_bit_identical_across_jobs(
-        self, tmp_path, monkeypatch
-    ):
-        # halve E19's wall-clock floors: two pool workers can share a core
-        monkeypatch.setenv("PPDM_E19_SPEEDUP_FLOOR", "0.5")
+    Parity only: the experiments' wall-clock asserts (e19/e20/e21 floors
+    and the like) depend on host load, not on the seed, so a run that
+    misses one is accepted here; the CI bench job enforces them.  Any
+    other failure, i.e. a deterministic assert inside a body, still
+    fails the test, and a run that missed a floor keeps its metrics.
+    """
+
+    @staticmethod
+    def _parity_view(artifact) -> dict:
+        doc = artifact.deterministic_dict()
+        for outcome in ("status", "error"):
+            doc.pop(outcome)
+        return doc
+
+    def test_smoke_experiments_bit_identical_across_jobs(self, tmp_path):
         kwargs = dict(tags=("smoke",), base_seed=None)
         serial = run_experiments(
             jobs=1, artifacts_dir=tmp_path / "j1", **kwargs
@@ -228,9 +275,13 @@ class TestSmokeParity:
             jobs=2, artifacts_dir=tmp_path / "j2", **kwargs
         )
         assert len(serial) >= 10  # the smoke set stays meaningfully broad
-        assert all(a.status == "ok" for a in serial)
-        assert [a.deterministic_dict() for a in serial] == [
-            a.deterministic_dict() for a in parallel
+        for artifact in serial + parallel:
+            assert (
+                artifact.status == "ok"
+                or "wall-clock assert failed" in artifact.error
+            ), artifact.error
+        assert [self._parity_view(a) for a in serial] == [
+            self._parity_view(a) for a in parallel
         ]
         # and every artifact survives a schema-validating reload
         loaded = load_artifact_dir(tmp_path / "j2")

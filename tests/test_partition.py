@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.partition import Partition
+from repro.core.partition import GridStack, Partition
 from repro.exceptions import ValidationError
 
 
@@ -214,3 +214,204 @@ def test_property_histogram_total(n, m, seed):
     part = Partition.uniform(0, 1, m)
     values = rng.normal(0.5, 1.0, size=n)  # may fall outside on purpose
     assert part.histogram(values).sum() == n
+
+
+# ----------------------------------------------------------------------
+# Arithmetic binning: locate must equal the clipped searchsorted oracle
+# ----------------------------------------------------------------------
+def _oracle(part, values):
+    """The definition ``locate`` must reproduce bit for bit."""
+    arr = np.asarray(values, dtype=float)
+    idx = np.searchsorted(part.edges, arr, side="right") - 1
+    return np.clip(idx, 0, part.n_intervals - 1)
+
+
+def _probe_values(part):
+    """Every edge and both float neighbours, plus the domain's outside."""
+    edges = part.edges
+    return np.concatenate(
+        [
+            edges,
+            np.nextafter(edges, -np.inf),
+            np.nextafter(edges, np.inf),
+            part.midpoints,
+            [edges[0] - part.span, edges[-1] + part.span, 0.0, -0.0],
+            [-1e308, 1e308, -np.inf, np.inf, np.nan],
+        ]
+    )
+
+
+def _assert_exact(part, values):
+    got = part.locate(values)
+    expected = _oracle(part, values)
+    assert got.dtype == expected.dtype == np.intp
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected), (
+        np.asarray(values)[got != expected],
+        got[got != expected],
+        expected[got != expected],
+    )
+
+
+def _service_grids():
+    """The noise-expanded grids ``service_from_spec`` builds."""
+    from repro.service import service_from_spec
+
+    spec = {
+        "attributes": [
+            {"name": "age", "low": 20, "high": 80, "noise": "uniform",
+             "privacy": 1.0},
+            {"name": "salary", "low": 20_000, "high": 150_000,
+             "noise": "gaussian", "privacy": 0.5, "intervals": 100},
+            {"name": "loan", "low": 0, "high": 500_000, "noise": "uniform",
+             "privacy": 2.0, "intervals": 7},
+            {"name": "temp", "low": -40.5, "high": -3.25,
+             "noise": "gaussian", "privacy": 1.5, "intervals": 33},
+            {"name": "ratio", "low": 0.0, "high": 1e-6, "noise": "uniform",
+             "privacy": 0.25, "intervals": 1},
+        ]
+    }
+    layout = service_from_spec(spec).shards.layout
+    return [layout.partition(name) for name in layout.names]
+
+
+class TestArithmeticLocate:
+    @pytest.mark.parametrize("index", range(5))
+    def test_service_grids_take_the_arithmetic_path(self, index):
+        part = _service_grids()[index]
+        assert part._binning is not None
+        _assert_exact(part, _probe_values(part))
+        rng = np.random.default_rng(index)
+        spread = rng.uniform(part.low - part.span, part.high + part.span, 5000)
+        _assert_exact(part, spread)
+
+    def test_equidepth_grids_fall_back(self):
+        rng = np.random.default_rng(0)
+        part = Partition.equidepth(rng.exponential(size=2000), 12)
+        assert part._binning is None
+        _assert_exact(part, _probe_values(part))
+        _assert_exact(part, rng.exponential(size=500) * 2 - 0.5)
+
+    def test_far_from_uniform_grid_falls_back(self):
+        # the third edge sits half a width off the ideal grid
+        part = Partition(np.array([0.0, 1.0, 2.5, 3.0, 4.0]))
+        assert part._binning is None
+        _assert_exact(part, _probe_values(part))
+
+    def test_slightly_perturbed_grid_stays_arithmetic(self):
+        # within a quarter-width of ideal: still exact with one step
+        part = Partition(np.array([0.0, 1.2, 1.8, 3.24, 4.0]))
+        assert part._binning is not None
+        _assert_exact(part, _probe_values(part))
+        _assert_exact(part, np.linspace(-1.0, 5.0, 6001))
+
+    def test_huge_span_falls_back(self):
+        part = Partition(np.array([-1e308, 0.0, 1e308]))
+        assert part._binning is None
+        _assert_exact(part, _probe_values(part))
+
+    def test_empty_input(self, unit_partition):
+        got = unit_partition.locate([])
+        assert got.dtype == np.intp and got.shape == (0,)
+
+    @pytest.mark.parametrize("value", [0.35, np.float64(0.1), 1, -3, np.nan])
+    def test_scalar_and_zero_d_inputs(self, unit_partition, value):
+        for form in (value, np.asarray(value)):
+            got = unit_partition.locate(form)
+            expected = _oracle(unit_partition, form)
+            assert type(got) is type(expected)
+            assert got == expected
+
+    def test_int_input(self):
+        part = Partition.uniform(-5, 5, 10)
+        values = np.arange(-8, 9)
+        _assert_exact(part, values)
+        _assert_exact(part, values.tolist())
+
+    def test_strided_column_views(self):
+        part = Partition.uniform(0.0, 10.0, 17).expanded(3.3)
+        rng = np.random.default_rng(4)
+        matrix = rng.uniform(-5.0, 15.0, size=(400, 3))
+        for j in range(matrix.shape[1]):
+            column = matrix[:, j]
+            assert not column.flags.c_contiguous
+            _assert_exact(part, column)
+        _assert_exact(part, matrix)  # any shape, like searchsorted
+
+    def test_out_receives_the_result(self, unit_partition):
+        values = np.array([0.05, 1.5, -1.0, 0.55])
+        out = np.full(4, -7, dtype=np.intp)
+        assert unit_partition.locate(values, out=out) is out
+        assert out.tolist() == [0, 9, 0, 5]
+
+    def test_binning_cache_stays_out_of_eq_repr_and_serialize(self):
+        from dataclasses import fields
+
+        from repro import serialize
+
+        part = Partition.uniform(0.0, 1.0, 4)
+        assert [f.name for f in fields(Partition) if f.compare or f.repr] == [
+            "edges"
+        ]
+        assert "_binning" not in repr(part)
+        assert "_binning" not in serialize.to_jsonable(part)
+        assert serialize.from_jsonable(serialize.to_jsonable(part)).locate(
+            [0.5]
+        ).tolist() == [2]
+
+    def test_edges_the_cache_derives_from_are_frozen(self):
+        user_edges = np.array([0.0, 1.0, 2.0, 3.0])
+        part = Partition(user_edges)
+        user_edges[1] = 2.5  # the caller's array is not the grid's
+        assert part.locate([1.5]).tolist() == [1]
+        with pytest.raises(ValueError):
+            part.edges[0] = -1.0
+
+    def test_quantize_output_unchanged(self):
+        from repro.service.shards import ColumnLayout
+
+        grids = _service_grids()
+        layout = ColumnLayout({f"g{k}": grid for k, grid in enumerate(grids)})
+        rng = np.random.default_rng(11)
+        batch = {
+            f"g{k}": rng.uniform(grid.low - 1.0, grid.high + 1.0, 300)
+            for k, grid in enumerate(grids)
+        }
+        columns = layout.quantize(batch)
+        for k, grid in enumerate(grids):
+            expected = _oracle(grid, batch[f"g{k}"])
+            column = columns[f"g{k}"]
+            assert column.dtype == (np.int8 if grid.n_intervals <= 128 else np.int16)
+            assert np.array_equal(column, expected.astype(column.dtype))
+        # a pinned literal, independent of the oracle
+        small = ColumnLayout({"a": Partition.uniform(0, 1, 4)})
+        assert small.quantize({"a": [0.0, 0.25, 0.2499999, 1.0, 7.0]})[
+            "a"
+        ].tolist() == [0, 1, 0, 3, 3]
+
+
+class TestGridStack:
+    def test_rows_match_partition_locate_plus_start(self):
+        parts = [
+            Partition.uniform(0.0, 1.0, 7),
+            Partition.uniform(-3.0, 5.0, 40).expanded(1.3),
+            Partition.equidepth(np.random.default_rng(2).normal(size=300), 6),
+        ]
+        grids = GridStack(parts)
+        assert grids.starts.tolist() == [0, 7, 7 + parts[1].n_intervals]
+        assert grids.arithmetic.tolist() == [True, True, False]
+        rng = np.random.default_rng(9)
+        rows = [1, 0, 1]  # a grid may appear more than once
+        edges = np.concatenate([parts[1].edges, parts[0].edges])
+        values = np.stack(
+            [
+                rng.choice(np.concatenate([edges, np.nextafter(edges, 0)]), 50)
+                for _ in rows
+            ]
+        )
+        values[0, :3] = (-1e308, 1e308, 0.0)
+        out = np.empty(values.shape, dtype=np.intp)
+        assert grids.locate(rows, values, out) is out
+        for i, row in enumerate(rows):
+            expected = parts[row].locate(values[i]) + grids.starts[row]
+            assert np.array_equal(out[i], expected)

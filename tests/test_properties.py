@@ -17,6 +17,11 @@ Properties pinned here:
   bounds, and mass conservation on the noise-expanded grid,
 * reconstruction outputs — always nonnegative and normalized, whatever
   the (shape, noise, grid) draw,
+* ``Partition.locate`` — the arithmetic binning path equals the clipped
+  ``np.searchsorted`` oracle on uniform, noise-expanded, served and
+  equidepth grids, at every edge, its float neighbours, and beyond,
+  and ``ColumnLayout.prepare``'s stacked multi-column pass equals that
+  oracle column by column on mixed layouts,
 * ``ShardSet`` merges — associative and commutative across random shard
   counts, ingestion orders, thread interleavings, and class columns,
 * basket wire frames (v4) — encode/decode round trips, self-delimiting
@@ -51,6 +56,7 @@ from repro.service import (
     decode_labeled,
     encode_columns,
 )
+from repro.service.shards import ColumnLayout
 
 SEED_ENV = "PPDM_PROPERTY_SEED"
 CASES_ENV = "PPDM_PROPERTY_CASES"
@@ -221,6 +227,141 @@ def test_property_reconstruction_nonnegative_normalized():
         "reconstruction-nonnegative-normalized",
         _gen_reconstruction_case,
         _check_reconstruction,
+        shrinkers=_shrink_values,
+    )
+
+
+# ----------------------------------------------------------------------
+# Partition.locate: arithmetic binning vs the searchsorted oracle
+# ----------------------------------------------------------------------
+def _gen_locate_case(rng: random.Random) -> dict:
+    low = rng.choice((0.0, rng.uniform(-1e4, 1e4), rng.uniform(-3.0, 3.0)))
+    span = 10.0 ** rng.uniform(-4.0, 6.0)
+    return {
+        "grid": rng.choice(("uniform", "expanded", "served", "equidepth")),
+        "low": low,
+        "span": span,
+        "n_intervals": rng.randint(1, 256),
+        "margin": rng.uniform(0.0, 2.0) * span,
+        "noise": rng.choice(("uniform", "gaussian")),
+        "privacy": rng.uniform(0.1, 2.0),
+        "seed": rng.randint(0, 2**31),
+        "values": [
+            low + span * rng.uniform(-1.5, 2.5) for _ in range(rng.randint(0, 60))
+        ],
+    }
+
+
+def _locate_grid(case) -> Partition:
+    low, high, m = case["low"], case["low"] + case["span"], case["n_intervals"]
+    if case["grid"] == "uniform":
+        return Partition.uniform(low, high, m)
+    if case["grid"] == "expanded":
+        return Partition.uniform(low, high, m).expanded(case["margin"])
+    if case["grid"] == "served":
+        from repro.service import service_from_spec
+
+        spec = {"attributes": [{
+            "name": "x", "low": low, "high": high, "intervals": m,
+            "noise": case["noise"], "privacy": case["privacy"],
+        }]}
+        return service_from_spec(spec).shards.layout.partition("x")
+    sample = np.random.default_rng(case["seed"]).lognormal(size=400)
+    return Partition.equidepth(low + case["span"] * sample, max(m, 3))
+
+
+def _check_locate_exact(case) -> None:
+    part = _locate_grid(case)
+    # equidepth grids are non-uniform: they must take the fallback
+    assert (part._binning is None) == (case["grid"] == "equidepth")
+    edges = part.edges
+    probes = np.concatenate([
+        np.asarray(case["values"], dtype=float),
+        edges,
+        np.nextafter(edges, -np.inf),
+        np.nextafter(edges, np.inf),
+        [-np.inf, np.inf, np.nan, -1e300, 1e300],
+    ])
+    expected = np.clip(
+        np.searchsorted(edges, probes, side="right") - 1, 0, part.n_intervals - 1
+    )
+    got = part.locate(probes)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, expected), probes[got != expected]
+    # strided column views (the tree / naive-Bayes callers) agree too
+    matrix = np.stack([probes, probes[::-1]], axis=1)
+    assert np.array_equal(part.locate(matrix[:, 0]), expected)
+    assert np.array_equal(part.locate(matrix[:, 1]), expected[::-1])
+
+
+def test_property_arithmetic_locate_exact():
+    run_property(
+        "arithmetic-locate-exact",
+        _gen_locate_case,
+        _check_locate_exact,
+        shrinkers=_shrink_values,
+    )
+
+
+def _gen_stacked_case(rng: random.Random) -> dict:
+    n_attributes = rng.randint(1, 4)
+    n_records = rng.randint(1, 40)
+    equal = rng.random() < 0.8
+    return {
+        "grids": [_gen_locate_case(rng) for _ in range(n_attributes)],
+        "lengths": [
+            n_records if equal else rng.randint(0, 40)
+            for _ in range(n_attributes)
+        ],
+        "classes": rng.choice((0, 0, 3)),
+        "seed": rng.randint(0, 2**31),
+    }
+
+
+def _check_stacked_prepare(case) -> None:
+    partitions = {
+        f"a{j}": _locate_grid(grid) for j, grid in enumerate(case["grids"])
+    }
+    layout = ColumnLayout(partitions, n_classes=case["classes"])
+    gen = np.random.default_rng(case["seed"])
+    batch = {}
+    for (name, part), size in zip(partitions.items(), case["lengths"]):
+        # every edge, both its float neighbours and far out-of-domain
+        # finite values, drawn with replacement
+        pool = np.concatenate([
+            part.edges,
+            np.nextafter(part.edges, -np.inf),
+            np.nextafter(part.edges, np.inf),
+            [-1e308, 1e308, part.low - part.span, part.high + part.span],
+        ])
+        batch[name] = gen.choice(pool, size)
+    labels = None
+    if case["classes"] and len(set(case["lengths"])) == 1:
+        labels = gen.integers(0, case["classes"], case["lengths"][0])
+    blocks = 0 if labels is None else (labels + 1) * layout.base_bins
+    expected = [
+        np.clip(
+            np.searchsorted(part.edges, batch[name], side="right") - 1,
+            0,
+            part.n_intervals - 1,
+        )
+        + layout.offset_of(name)
+        + blocks
+        for name, part in partitions.items()
+        if batch[name].size
+    ]
+    expected = np.concatenate(expected) if expected else np.empty(0, np.intp)
+    with np.errstate(all="raise"):  # no overflow or cast warnings either
+        prepared = layout.prepare(batch, classes=labels)
+    assert prepared.flat.dtype == np.intp
+    assert np.array_equal(prepared.flat, expected)
+
+
+def test_property_stacked_prepare_exact():
+    run_property(
+        "stacked-prepare-exact",
+        _gen_stacked_case,
+        _check_stacked_prepare,
         shrinkers=_shrink_values,
     )
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+import types
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -16,6 +17,7 @@ from repro.core import (
     StreamingReconstructor,
     UniformRandomizer,
 )
+from repro.core.partition import GridStack
 from repro.datasets import shapes
 from repro.exceptions import ConvergenceWarning, ValidationError
 from repro.service import (
@@ -28,6 +30,7 @@ from repro.service import (
     encode_columns,
     service_from_spec,
 )
+from repro.service.shards import _STACK_VALUES
 
 
 @pytest.fixture
@@ -260,6 +263,170 @@ class TestPreparedFastPath:
         shard = HistogramShard({"x": y_part})
         assert shard.ingest_prepared(shard.prepare({})) == 0
         assert shard.ingest_prepared(shard.prepare({"x": []})) == 0
+
+
+def _patch_searchsorted(monkeypatch, replacement):
+    """Swap ``np.searchsorted`` as ``repro.core.partition`` sees it."""
+    import repro.core.partition as partition_module
+
+    proxy = types.SimpleNamespace(**vars(np))
+    proxy.searchsorted = replacement
+    monkeypatch.setattr(partition_module, "np", proxy)
+
+
+def _searchsorted_oracle(partition, values):
+    idx = np.searchsorted(partition.edges, values, side="right") - 1
+    return np.clip(idx, 0, partition.n_intervals - 1)
+
+
+class TestArithmeticBinningPin:
+    """The served float path bins arithmetically, never by binary search.
+
+    A ``np.searchsorted`` that raises stands in for the real one inside
+    ``repro.core.partition``, so a silent fallback on a served grid fails
+    here deterministically — no wall clock involved.
+    """
+
+    @pytest.mark.parametrize("classes", [0, 2])
+    def test_service_prepare_never_searches(self, monkeypatch, classes):
+        spec = {
+            "attributes": [
+                {"name": "age", "low": 20, "high": 80, "noise": "uniform",
+                 "privacy": 1.0},
+                {"name": "salary", "low": 20_000, "high": 150_000,
+                 "noise": "gaussian", "privacy": 0.5, "intervals": 40},
+            ]
+        }
+        if classes:
+            spec["classes"] = classes
+        service = service_from_spec(spec)
+        layout = service.shards.layout
+        rng = np.random.default_rng(17)
+        batch = {
+            "age": rng.uniform(0, 100, 3000),
+            "salary": rng.uniform(0, 200_000, 3000),
+        }
+        labels = rng.integers(0, 2, 3000) if classes else None
+        blocks = 0 if labels is None else (labels + 1) * layout.base_bins
+        expected = np.concatenate(
+            [
+                _searchsorted_oracle(layout.partition(name), values)
+                + layout.offset_of(name)
+                + blocks
+                for name, values in batch.items()
+            ]
+        )
+
+        def searchsorted(*args, **kwargs):
+            raise AssertionError("served float binning fell back to searchsorted")
+
+        _patch_searchsorted(monkeypatch, searchsorted)
+        prepared = service.prepare(batch, classes=labels)
+        assert prepared.flat.dtype == np.intp
+        assert np.array_equal(prepared.flat, expected)
+        assert service.ingest_prepared(prepared) == 6000
+
+    def test_equidepth_partition_still_works(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        part = Partition.equidepth(rng.exponential(size=1000), 8)
+        values = rng.exponential(size=200)
+        expected = _searchsorted_oracle(part, values)
+        calls = []
+
+        def searchsorted(*args, **kwargs):
+            calls.append(args)
+            return np.searchsorted(*args, **kwargs)
+
+        _patch_searchsorted(monkeypatch, searchsorted)
+        layout = ColumnLayout({"x": part})
+        assert np.array_equal(layout.prepare({"x": values}).flat, expected)
+        assert len(calls) == 1
+
+
+class TestStackedPrepare:
+    """Equal-length float columns on arithmetic grids locate as one block."""
+
+    @pytest.fixture
+    def layout(self):
+        return ColumnLayout(
+            {
+                "a": Partition.uniform(0, 1, 8),
+                "b": Partition.uniform(-5, 5, 20).expanded(2.0),
+            }
+        )
+
+    @pytest.fixture
+    def stacked_calls(self, monkeypatch):
+        calls = []
+        real = GridStack.locate
+
+        def spy(self, rows, values, out):
+            calls.append(values.shape)
+            return real(self, rows, values, out)
+
+        monkeypatch.setattr(GridStack, "locate", spy)
+        return calls
+
+    def test_stacked_only_when_the_batch_allows(self, layout, stacked_calls):
+        rng = np.random.default_rng(3)
+        a, b = rng.uniform(-0.5, 1.5, 600), rng.uniform(-9, 9, 600)
+        expected = {
+            name: _searchsorted_oracle(layout.partition(name), values)
+            + layout.offset_of(name)
+            for name, values in (("a", a), ("b", b))
+        }
+        flat = layout.prepare({"b": b, "a": a}).flat
+        assert stacked_calls == [(2, 600)]
+        assert np.array_equal(flat, np.concatenate([expected["b"], expected["a"]]))
+        # one column, unequal lengths, a quantized column, a batch too
+        # large to stack: per column
+        layout.prepare({"a": a})
+        layout.prepare({"a": a[:5], "b": b})
+        layout.prepare({"a": layout.quantize({"a": a})["a"], "b": b})
+        big = np.full(_STACK_VALUES // 2 + 1, 0.5)
+        flat = layout.prepare({"a": big, "b": big}).flat
+        assert stacked_calls == [(2, 600)]
+        assert np.array_equal(
+            flat[big.size:],
+            _searchsorted_oracle(layout.partition("b"), big)
+            + layout.offset_of("b"),
+        )
+
+    def test_equidepth_grid_keeps_per_column_path(self, stacked_calls):
+        rng = np.random.default_rng(5)
+        parts = {
+            "u": Partition.uniform(0, 1, 8),
+            "q": Partition.equidepth(rng.exponential(size=500), 8),
+        }
+        layout = ColumnLayout(parts)
+        batch = {"u": rng.uniform(0, 1, 700), "q": rng.exponential(size=700)}
+        expected = np.concatenate(
+            [
+                _searchsorted_oracle(parts[name], batch[name])
+                + layout.offset_of(name)
+                for name in batch
+            ]
+        )
+        assert np.array_equal(layout.prepare(batch).flat, expected)
+        assert stacked_calls == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_names_its_column(self, layout, bad):
+        batch = {"a": np.full(3, 0.5), "b": np.array([0.0, bad, 1.0])}
+        with pytest.raises(ValidationError, match=r"batch\['b'\] contains NaN"):
+            layout.prepare(batch)
+
+    def test_labeled_batch_lands_in_class_blocks(self, stacked_calls):
+        layout = ColumnLayout(
+            {"a": Partition.uniform(0, 1, 4), "b": Partition.uniform(0, 1, 6)},
+            n_classes=2,
+        )
+        flat = layout.prepare(
+            {"a": [0.1, 0.9], "b": [0.05, 0.95]}, classes=[0, 1]
+        ).flat
+        # base layout: a -> [0, 4), b -> [4, 10); class c adds (c + 1) * 10
+        assert flat.tolist() == [10, 23, 14, 29]
+        assert stacked_calls == [(2, 2)]
 
 
 class TestQuantizedColumns:
